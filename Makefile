@@ -4,7 +4,8 @@
 	test-incremental test-topk test-hierarchy test-parallel-heavy \
 	fuzz-smoke fuzz-incremental fuzz-topk fuzz-hierarchy coverage fmt \
 	check bench-phases bench-retarget bench-warmstart bench-serve \
-	bench-incremental bench-topk bench-hierarchy bench-parallel clean
+	bench-incremental bench-topk bench-hierarchy bench-parallel \
+	perfbench-smoke clean
 
 all: build
 
@@ -107,6 +108,14 @@ fuzz-hierarchy:
 	dune exec bin/dsd.exe -- fuzz --cases 150 --seed $(FUZZ_SEED) --time-budget 10 \
 		--relation hierarchy-prepared-equals-fresh
 
+# The layered benchmark's stored answers as a standing gate: one short
+# cds run and one short lds run at seed 0.  run.sh exits non-zero when
+# any answer's digest differs from perfbench/expected, so a flow-layer
+# change that moves an answer fails here.  About 20 s on two cores.
+perfbench-smoke:
+	sh perfbench/run.sh --workload cds --seed 0 --seconds 1 --trace 0
+	sh perfbench/run.sh --workload lds --seed 0 --seconds 1 --trace 0
+
 # Line coverage via bisect_ppx, skipped gracefully when the ppx is not
 # installed (the toolchain image does not bake it in, like ocamlformat).
 coverage:
@@ -143,6 +152,7 @@ check:
 	$(MAKE) fuzz-incremental
 	$(MAKE) fuzz-topk
 	$(MAKE) fuzz-hierarchy
+	$(MAKE) perfbench-smoke
 	dune exec bench/main.exe -- --only parallel,retarget,warmstart,serve,incremental,topk,hierarchy --smoke
 	dune exec bench/compare.exe -- BENCH_parallel.json
 	dune exec bench/compare.exe -- BENCH_warmstart.json

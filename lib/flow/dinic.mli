@@ -14,3 +14,10 @@
     any lowered arcs) — and will augment it to a maximum flow.  Use
     {!Flow_network.flow_value} for the total committed value. *)
 val max_flow : Flow_network.t -> s:int -> t:int -> float
+
+(** [max_flow_cut net ~s ~t] is {!max_flow} that also returns the
+    source side of a minimum cut: the nodes reachable from [s] in the
+    residual graph.  It is read off the final, failing level BFS, so it
+    costs no extra traversal; it equals {!Min_cut.source_side} run on
+    the saturated network. *)
+val max_flow_cut : Flow_network.t -> s:int -> t:int -> float * bool array

@@ -1,9 +1,19 @@
 (** Directed flow networks with float capacities in residual-arc form.
 
-    Every [add_edge] creates a forward arc and a zero-capacity reverse
-    arc stored at adjacent indices, so the reverse of arc [e] is
-    [e lxor 1] — the standard residual-graph layout shared by the Dinic
-    and Edmonds-Karp solvers.
+    The network is a flat arena.  Every [add_edge] appends a forward arc
+    and a zero-capacity reverse arc at adjacent indices of three arc
+    arrays (head, capacity, flow), so the reverse of arc [e] is
+    [e lxor 1] and the tail of [e] is the head of [e lxor 1] — the
+    standard residual-graph layout shared by the Dinic and
+    Edmonds-Karp solvers.
+
+    Per-node adjacency is not stored per node.  It is a CSR (node
+    offsets plus arc ids) derived from the twin heads by a counting
+    sort, built lazily by the first traversal after an [add_node] or
+    [add_edge] and reused until the next one.  Each node lists its arcs
+    in increasing arc id, i.e. in the order they were added, so solver
+    traversal order — and hence every answer — does not depend on when
+    the CSR was built.
 
     Capacities are floats because the DSD binary search guesses a
     fractional density [alpha] (arc capacities [alpha * |V_Psi|],
@@ -24,12 +34,14 @@ val edge_count : t -> int
 (** [add_node t] appends a fresh node and returns its id ([node_count]
     before the call).  Existing arcs, flow and node ids are untouched,
     so an arena can grow in place between solver runs — the incremental
-    subsystem appends one node per newly discovered pattern instance. *)
+    subsystem appends one node per newly discovered pattern instance.
+    Invalidates the adjacency CSR. *)
 val add_node : t -> int
 
 (** [add_edge t ~src ~dst ~cap] adds a forward arc of capacity [cap]
     (must be ≥ 0; may be [infinity]) and its residual twin.  Returns
-    the forward arc id. *)
+    the forward arc id (always even; the twin is the id plus one).
+    Invalidates the adjacency CSR. *)
 val add_edge : t -> src:int -> dst:int -> cap:float -> int
 
 (** {1 Low-level accessors used by the solvers} *)
@@ -107,9 +119,10 @@ val residual : t -> int -> float
 val push : t -> int -> float -> unit
 
 (** [iter_arcs_from t v ~f] visits the arc ids leaving node [v]
-    (forward and residual twins alike). *)
+    (forward and residual twins alike), in increasing id order. *)
 val iter_arcs_from : t -> int -> f:(int -> unit) -> unit
 
+(** The arc ids leaving [v], in increasing id order (a fresh copy). *)
 val arcs_from : t -> int -> int array
 
 (** [reset_flow t] zeroes all flow, restoring initial capacities. *)
@@ -122,3 +135,23 @@ val flow_value : t -> s:int -> float
 
 (** Tolerance under which a residual capacity counts as exhausted. *)
 val eps : float
+
+(** {1 Raw arena views for the solvers}
+
+    The solvers of this library read the arena directly rather than
+    through the bounds-checked accessors above.  The arrays are shared,
+    not copied, and may be longer than [arc_count] / [node_count + 1];
+    they stay valid until the next [add_node] or [add_edge]. *)
+
+(** [adjacency t] is [(off, adj)]: the arcs leaving [v] are
+    [adj.(off.(v)) .. adj.(off.(v+1) - 1)].  Rebuilds the CSR first if
+    an [add_node]/[add_edge] invalidated it. *)
+val adjacency : t -> int array * int array
+
+(** Arc heads, capacities and flows, indexed by arc id.  Writing to
+    [flows] is how a solver pushes flow: it must keep
+    [flow.(e lxor 1) = -. flow.(e)]. *)
+val heads : t -> int array
+
+val caps : t -> float array
+val flows : t -> float array

@@ -2,36 +2,48 @@ module F = Flow_network
 
 let source_side net ~s =
   let n = F.node_count net in
+  let off, adj = F.adjacency net in
+  let dst = F.heads net and cap = F.caps net and flow = F.flows net in
   let side = Array.make n false in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
   side.(s) <- true;
-  Queue.add s queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    F.iter_arcs_from net u ~f:(fun e ->
-        let v = F.arc_dst net e in
-        if (not side.(v)) && F.residual net e > F.eps then begin
-          side.(v) <- true;
-          Queue.add v queue
-        end)
+  queue.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for i = off.(u) to off.(u + 1) - 1 do
+      let e = adj.(i) in
+      let v = dst.(e) in
+      if (not side.(v)) && cap.(e) -. flow.(e) > F.eps then begin
+        side.(v) <- true;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   side
 
 let solve net ~s ~t =
-  (* [Dinic.max_flow] returns only the flow pushed by this call; under
-     a warm start the network already carries flow from earlier probes,
-     so report the total committed value instead of the delta. *)
-  let (_ : float) = Dinic.max_flow net ~s ~t in
-  (F.flow_value net ~s, source_side net ~s)
+  (* Dinic's final, failing level BFS is a full residual BFS from [s],
+     so it already is the source side.  [Dinic] returns only the flow
+     pushed by this call; under a warm start the network already
+     carries flow from earlier probes, so report the total committed
+     value instead of the delta. *)
+  let (_ : float), side = Dinic.max_flow_cut net ~s ~t in
+  (F.flow_value net ~s, side)
 
 let cut_capacity net side =
+  let off, adj = F.adjacency net in
+  let dst = F.heads net and cap = F.caps net in
   let total = ref 0. in
   for u = 0 to F.node_count net - 1 do
     if side.(u) then
-      F.iter_arcs_from net u ~f:(fun e ->
-          (* Only original forward arcs carry capacity; twins have cap 0
-             and contribute nothing. *)
-          let v = F.arc_dst net e in
-          if not side.(v) then total := !total +. F.arc_cap net e)
+      for i = off.(u) to off.(u + 1) - 1 do
+        (* Only original forward arcs carry capacity; twins have cap 0
+           and contribute nothing. *)
+        let e = adj.(i) in
+        if not side.(dst.(e)) then total := !total +. cap.(e)
+      done
   done;
   !total

@@ -317,6 +317,10 @@ let handle_cached t req key =
     resp
 
 let handle t (req : Protocol.request) : Protocol.response =
+  (* The probe transcript explains one request at a time.  The daemon
+     records for its whole life, so without this reset the transcript
+     would grow by one cell per min-cut probe for ever. *)
+  Dsd_obs.Probe.reset ();
   match req with
   | Ping -> Pong
   | Shutdown -> Shutdown_r

@@ -48,7 +48,11 @@ val graphs : t -> (string * Dsd_graph.Graph.t) list
     counted (requests, then one of hit/miss, evictions as they happen)
     in both the internal tallies reported by the [Stats] endpoint and
     the [Serve_*] counters of {!Dsd_obs.Counter}, and each runs under a
-    {!Dsd_obs.Phase.serve_request} span. *)
+    {!Dsd_obs.Phase.serve_request} span.
+
+    Every request starts a fresh {!Dsd_obs.Probe} transcript, so while
+    recording is on it holds the probes of the last request only and a
+    long-lived daemon's transcript stays bounded. *)
 val handle : t -> Protocol.request -> Protocol.response
 
 (** [clear_results t] empties the result LRU (tallies survive) while

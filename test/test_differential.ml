@@ -1,7 +1,7 @@
 (* Differential testing: every exact solver configuration must agree
    on the optimal h-clique density, and both max-flow engines must
-   agree on the max-flow value.  Seeded Dsd_data.Gen graphs keep every
-   run reproducible. *)
+   agree on the max-flow value and the minimum cut's source side.
+   Seeded Dsd_data.Gen graphs keep every run reproducible. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -86,6 +86,50 @@ let random_network rng =
   done;
   net
 
+(* General networks, unlike the three-layer DSD ones: the sink sits at
+   a random id, random arcs point every way (back arcs, arcs into the
+   source, arcs out of the sink), and a chain from the source through
+   every other node puts nodes at and beyond the sink's BFS level.
+   Integer capacities keep the flows exact.  Returns the arc list so
+   that two identical copies can be built. *)
+let general_arcs rng =
+  let module Prng = Dsd_util.Prng in
+  let n = 4 + Prng.int rng 16 in
+  let t = 1 + Prng.int rng (n - 1) in
+  let cap () = 1 + Prng.int rng 9 in
+  let chain = Array.init (n - 1) (fun i -> i + 1) in
+  Prng.shuffle rng chain;
+  let arcs = ref [] in
+  Array.iteri
+    (fun i v ->
+      let u = if i = 0 then 0 else chain.(i - 1) in
+      arcs := (u, v, cap ()) :: !arcs)
+    chain;
+  for _ = 1 to Prng.int rng (3 * n) do
+    let u, v = Prng.pair_distinct rng n in
+    arcs := (u, v, cap ()) :: !arcs
+  done;
+  (n, t, List.rev !arcs)
+
+(* A copy of a general network.  [warm] first solves it with every
+   capacity halved (Edmonds-Karp, deterministic) and then raises the
+   capacities in place, so the solvers under test resume from a
+   non-zero residual state rather than from zero flow. *)
+let general_network (n, t, arcs) ~warm =
+  let net = F.create n in
+  let ids =
+    List.map
+      (fun (u, v, c) ->
+        let c = float_of_int (if warm then c / 2 else c) in
+        F.add_edge net ~src:u ~dst:v ~cap:c)
+      arcs
+  in
+  if warm then begin
+    ignore (Dsd_flow.Edmonds_karp.max_flow net ~s:0 ~t);
+    List.iter2 (fun e (_, _, c) -> F.set_cap net e (float_of_int c)) ids arcs
+  end;
+  net
+
 let test_dinic_vs_edmonds_karp () =
   for seed = 0 to 24 do
     (* Two identical copies: max_flow mutates the residual state. *)
@@ -98,6 +142,23 @@ let test_dinic_vs_edmonds_karp () =
     Alcotest.(check (float 1e-6))
       (Printf.sprintf "%s max flow" (Helpers.seed_ctx seed))
       fa fb
+  done;
+  for seed = 0 to 199 do
+    let spec = general_arcs (Helpers.rng seed) in
+    let _, t, _ = spec in
+    let warm = seed mod 2 = 1 in
+    let a = general_network spec ~warm and b = general_network spec ~warm in
+    let ctx = Printf.sprintf "%s general warm=%b" (Helpers.seed_ctx seed) warm in
+    let _, side = Dsd_flow.Dinic.max_flow_cut a ~s:0 ~t in
+    ignore (Dsd_flow.Edmonds_karp.max_flow b ~s:0 ~t);
+    Alcotest.(check (float 0.))
+      (ctx ^ " max flow") (F.flow_value b ~s:0) (F.flow_value a ~s:0);
+    Alcotest.(check (array bool))
+      (ctx ^ " Dinic side = residual BFS")
+      (Dsd_flow.Min_cut.source_side a ~s:0) side;
+    Alcotest.(check (array bool))
+      (ctx ^ " Dinic side = Edmonds-Karp side")
+      (Dsd_flow.Min_cut.source_side b ~s:0) side
   done
 
 let suite =

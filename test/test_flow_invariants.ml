@@ -155,6 +155,107 @@ let test_set_cap_infinity () =
   F.set_cap net e infinity;
   Helpers.check_float "infinite cap readable" infinity (F.arc_cap net e)
 
+(* ---- the lazily built adjacency CSR on a live network ---- *)
+
+(* One live network driven through a random script of arena growth
+   ([add_node], [add_edge]), capacity edits ([set_cap] above committed
+   flow, [set_cap_carry] + the matching [restore_arc*] drain) and
+   solves.  Each edit invalidates or leaves the CSR in place, so every
+   solve runs on a CSR built at a different point of the arena's
+   history.  After each solve the flow value and the source side must
+   equal those of a network rebuilt from scratch from the same arc
+   list, and after every step [arcs_from v] must list exactly [v]'s
+   arc ids in insertion order.  Integer capacities keep every flow
+   exact, so the two source sides compare bit for bit. *)
+let live_network_matches_rebuild (name, max_flow) seed =
+  let r = Prng.create seed in
+  let s = 0 and t = 1 in
+  let net = F.create (2 + Prng.int r 4) in
+  (* (src, dst) per forward arc, in creation order; caps live in [net]. *)
+  let arcs = ref [||] in
+  let add_edge src dst =
+    let cap = float_of_int (Prng.int r 12) in
+    let id = F.add_edge net ~src ~dst ~cap in
+    assert (id = 2 * Array.length !arcs);
+    arcs := Array.append !arcs [| (src, dst) |]
+  in
+  let check_order step =
+    for v = 0 to F.node_count net - 1 do
+      let expect =
+        List.filter
+          (fun e ->
+            let src, dst = !arcs.(e / 2) in
+            (if e land 1 = 0 then src else dst) = v)
+          (List.init (F.arc_count net) Fun.id)
+      in
+      if Array.to_list (F.arcs_from net v) <> expect then
+        Alcotest.failf "%s step %d: arcs_from %d out of insertion order"
+          (Helpers.seed_ctx seed) step v
+    done
+  in
+  let rebuild () =
+    let fresh = F.create (F.node_count net) in
+    Array.iteri
+      (fun i (src, dst) ->
+        ignore (F.add_edge fresh ~src ~dst ~cap:(F.arc_cap net (2 * i))))
+      !arcs;
+    fresh
+  in
+  let solve_live step =
+    if name = "dinic" then begin
+      let value, side = Dsd_flow.Min_cut.solve net ~s ~t in
+      if side <> Dsd_flow.Min_cut.source_side net ~s then
+        Alcotest.failf "%s step %d: Dinic's source side differs from the \
+                        residual BFS" (Helpers.seed_ctx seed) step;
+      (value, side)
+    end
+    else begin
+      ignore (max_flow net ~s ~t);
+      (F.flow_value net ~s, Dsd_flow.Min_cut.source_side net ~s)
+    end
+  in
+  let steps = 10 + Prng.int r 30 in
+  for step = 1 to steps do
+    let m = Array.length !arcs in
+    (match Prng.int r 6 with
+    | 0 -> ignore (F.add_node net)
+    | 1 | 2 ->
+      let n = F.node_count net in
+      let src = Prng.int r n and dst = Prng.int r n in
+      if src <> dst then add_edge src dst
+    | 3 when m > 0 ->
+      (* Raise (or keep) a capacity: never below committed flow. *)
+      let e = 2 * Prng.int r m in
+      let floor = Float.ceil (Float.max 0. (F.arc_flow net e)) in
+      F.set_cap net e (floor +. float_of_int (Prng.int r 5))
+    | 4 when m > 0 ->
+      (* Lower a capacity under committed flow and repair it with the
+         drain that matches the arc's endpoints. *)
+      let i = Prng.int r m in
+      let src, dst = !arcs.(i) in
+      if src <> t && dst <> s then begin
+        let e = 2 * i in
+        let lowered = Prng.int r (1 + int_of_float (F.arc_cap net e)) in
+        F.set_cap_carry net e (float_of_int lowered);
+        ignore
+          (if dst = t then F.restore_arc net ~s e
+           else if src = s then F.restore_arc_head net ~sink:t e
+           else F.restore_arc_full net ~s ~sink:t e)
+      end
+    | _ ->
+      let value, side = solve_live step in
+      let fresh = rebuild () in
+      ignore (max_flow fresh ~s ~t);
+      let value' = F.flow_value fresh ~s in
+      let side' = Dsd_flow.Min_cut.source_side fresh ~s in
+      if value <> value' || side <> side' then
+        Alcotest.failf "%s step %d: live flow %g vs rebuilt %g, sides %s"
+          (Helpers.seed_ctx seed) step value value'
+          (if side = side' then "equal" else "differ"));
+    check_order step
+  done;
+  true
+
 let suite =
   List.concat_map
     (fun ((name, _) as solver) ->
@@ -167,6 +268,13 @@ let suite =
         Alcotest.test_case (name ^ ": reset_flow bit-identical caps") `Quick
           (test_reset_flow_bit_identical solver) ])
     solvers
+  @ List.map
+      (fun ((name, _) as solver) ->
+        Helpers.qtest ~count:150
+          (name ^ ": live network with lazy CSR = rebuilt network")
+          QCheck.small_int
+          (live_network_matches_rebuild solver))
+      solvers
   @ [
       Alcotest.test_case "set_cap validation" `Quick test_set_cap_validation;
       Alcotest.test_case "set_cap below committed flow rejected" `Quick

@@ -332,6 +332,41 @@ let test_state_errors_not_cached () =
       Pr.Query { graph = "g"; psi = "edge"; vertices = [| -1 |] };
     ]
 
+(* The daemon records for its whole life, so the probe transcript must
+   be per request: K cold requests (a zero-capacity LRU makes every one
+   run its solver) leave Probe.count bounded by one request's probes,
+   not growing with K. *)
+let test_probe_transcript_bounded () =
+  let state =
+    Sv_state.create ~max_cached:0
+      [ ("g", Helpers.random_graph ~seed:7 ~max_n:12 ~max_m:30 ()) ]
+  in
+  let requests =
+    [ Pr.Density { graph = "g"; psi = "edge"; algorithm = "exact" };
+      Pr.Topk { graph = "g"; psi = "edge"; k = 2 };
+      Pr.Hierarchy { graph = "g"; psi = "triangle"; levels = 0 } ]
+  in
+  let round () =
+    List.map
+      (fun req ->
+        ignore (Sv_state.handle state req);
+        Dsd_obs.Probe.count ())
+      requests
+  in
+  Dsd_obs.Control.with_recording (fun () ->
+      let first = round () in
+      Alcotest.(check bool) "every request ran min-cut probes" true
+        (List.for_all (fun c -> c > 0) first);
+      let largest = List.fold_left max 0 first in
+      for k = 2 to 20 do
+        List.iter
+          (fun c ->
+            if c > largest then
+              Alcotest.failf "round %d: transcript holds %d probes, one \
+                              request runs at most %d" k c largest)
+          (round ())
+      done)
+
 (* ---- the differential corpus over a live socket ---- *)
 
 (* Direct library answer for an endpoint, for comparison. *)
@@ -729,6 +764,8 @@ let suite =
     test_lru_model ();
     Alcotest.test_case "state: hits + misses = requests" `Quick
       test_state_accounting;
+    Alcotest.test_case "state: probe transcript bounded per request" `Quick
+      test_probe_transcript_bounded;
     Alcotest.test_case "state: errors are never cached" `Quick
       test_state_errors_not_cached;
     Alcotest.test_case "codec: request/response round trip" `Quick
