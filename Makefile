@@ -141,6 +141,8 @@ fmt:
 # gate (warm-started probes must never need more augmenting paths than
 # reset probes); the serve smoke run feeds the cached-latency gate (a
 # repeated identical request must be >= 5x faster than the cold one).
+# Smoke runs write the gitignored BENCH_<name>.smoke.json, and each
+# gate reads that file, so the checked-in full-size rows stay put.
 check:
 	$(MAKE) fmt
 	dune build @default @runtest
@@ -154,12 +156,12 @@ check:
 	$(MAKE) fuzz-hierarchy
 	$(MAKE) perfbench-smoke
 	dune exec bench/main.exe -- --only parallel,retarget,warmstart,serve,incremental,topk,hierarchy --smoke
-	dune exec bench/compare.exe -- BENCH_parallel.json
-	dune exec bench/compare.exe -- BENCH_warmstart.json
-	dune exec bench/compare.exe -- BENCH_serve.json
-	dune exec bench/compare.exe -- BENCH_incremental.json
-	dune exec bench/compare.exe -- BENCH_topk.json
-	dune exec bench/compare.exe -- BENCH_hierarchy.json
+	dune exec bench/compare.exe -- BENCH_parallel.smoke.json
+	dune exec bench/compare.exe -- BENCH_warmstart.smoke.json
+	dune exec bench/compare.exe -- BENCH_serve.smoke.json
+	dune exec bench/compare.exe -- BENCH_incremental.smoke.json
+	dune exec bench/compare.exe -- BENCH_topk.smoke.json
+	dune exec bench/compare.exe -- BENCH_hierarchy.smoke.json
 
 # Per-phase observability breakdown (Dsd_obs spans/counters).
 bench-phases:

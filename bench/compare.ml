@@ -31,7 +31,8 @@
      with every row precisely so small machines don't fail for being
      small.
 
-   Usage: compare [FILE]   (default BENCH_warmstart.json)
+   Usage: compare [FILE]   (default BENCH_warmstart.json; `make check`
+   passes the smoke rows, BENCH_<name>.smoke.json)
    Exits 0 when every row satisfies its gate, 1 otherwise (or when the
    file is missing/contains no gateable rows). *)
 

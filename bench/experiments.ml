@@ -816,7 +816,10 @@ let micro () =
                  (Dsd_core.Clique_core.decompose ~track_density:false g P.triangle)));
         Test.make ~name:"eds-mincut(ca_hepth)"
           (Staged.stage (fun () ->
-               let net = Dsd_core.Flow_build.eds_network gc ~alpha:2.0 in
+               let net =
+                 Dsd_core.Flow_build.(build Eds gc P.edge ~instances:[||]
+                                        ~alpha:2.0)
+               in
                ignore (Dsd_core.Flow_build.solve net)));
       ]
   in
@@ -1034,17 +1037,12 @@ let parallel () =
       in
       H.table ~header ~rows)
     graphs;
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"parallel\",\n  \"smoke\": %b,\n  \
-     \"recommended_domains\": %d,\n  \"sequential_below\": %d,\n  \
-     \"rows\": [\n%s\n  ]\n}\n"
-    smoke
-    (Dsd_clique.Parallel.recommended_domains ())
-    Dsd_util.Pool.default_sequential_below
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_parallel.json"
+  H.write_bench "parallel" !json_rows
+    ~extra:
+      [ ("recommended_domains",
+         string_of_int (Dsd_clique.Parallel.recommended_domains ()));
+        ("sequential_below",
+         string_of_int Dsd_util.Pool.default_sequential_below) ]
 
 (* ---- retarget: network builds vs O(V) re-alphas (BENCH_retarget.json) ---- *)
 
@@ -1116,13 +1114,7 @@ let retarget () =
             "build_s"; "retarget_s" ]
         ~rows)
     datasets;
-  let oc = open_out "BENCH_retarget.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"retarget\",\n  \"smoke\": %b,\n  \"rows\": [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_retarget.json"
+  H.write_bench "retarget" !json_rows
 
 (* ---- warmstart: warm vs reset flow across probes (BENCH_warmstart.json) ---- *)
 
@@ -1222,14 +1214,7 @@ let warmstart () =
             "warm starts"; "drained"; "reset_s"; "warm_s" ]
         ~rows)
     datasets;
-  let oc = open_out "BENCH_warmstart.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"warmstart\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_warmstart.json"
+  H.write_bench "warmstart" !json_rows
 
 (* ---- serve: hot-result cache latency over a real socket (BENCH_serve.json) ---- *)
 
@@ -1325,13 +1310,7 @@ let serve () =
           [ "endpoint"; "cold"; "prepared"; "cached"; "prep spd"; "cache spd" ]
         ~rows)
     datasets;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"serve\",\n  \"smoke\": %b,\n  \"rows\": [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_serve.json"
+  H.write_bench "serve" !json_rows
 
 (* ---- incremental: patch vs recompute on a sliding window (BENCH_incremental.json) ---- *)
 
@@ -1452,14 +1431,7 @@ let incremental () =
       [ "graph"; "pattern"; "window"; "batches"; "incremental"; "recompute";
         "speedup"; "mismatch" ]
     ~rows;
-  let oc = open_out "BENCH_incremental.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"incremental\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_incremental.json"
+  H.write_bench "incremental" !json_rows
 
 (* Top-k locally densest extraction: core-pruned per-component rounds
    vs whole-graph binary searches.  Planted community graphs are the
@@ -1558,14 +1530,7 @@ let topk () =
       [ "graph"; "pattern"; "k"; "regions"; "pruned"; "unpruned"; "speedup";
         "mismatch" ]
     ~rows;
-  let oc = open_out "BENCH_topk.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"topk\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_topk.json"
+  H.write_bench "topk" !json_rows
 
 (* Density-friendly hierarchy: prepared/warm probe loop vs the
    fresh-build escape hatch, with iterated top-k extraction (one
@@ -1671,14 +1636,7 @@ let hierarchy () =
       [ "graph"; "pattern"; "levels"; "prepared"; "fresh"; "topk";
         "speedup"; "mismatch" ]
     ~rows;
-  let oc = open_out "BENCH_hierarchy.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"hierarchy\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_hierarchy.json"
+  H.write_bench "hierarchy" !json_rows
 
 (* ---- registry ---- *)
 

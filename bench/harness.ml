@@ -14,6 +14,26 @@ let default_timeout = ref 10.0
    that honour it say so in their section banner. *)
 let smoke = ref false
 
+(* Write an experiment's JSON rows (newest last in [rows_rev]) with
+   any [extra] top-level fields, already JSON-formatted.  Full runs
+   write the checked-in BENCH_<name>.json; smoke runs write the
+   gitignored BENCH_<name>.smoke.json, so a smoke pass never replaces
+   full-size rows. *)
+let write_bench ?(extra = []) name rows_rev =
+  let path =
+    Printf.sprintf
+      (if !smoke then "BENCH_%s.smoke.json" else "BENCH_%s.json")
+      name
+  in
+  let oc = open_out path in
+  Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" name
+    !smoke;
+  List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) extra;
+  Printf.fprintf oc "  \"rows\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n" (List.rev rows_rev));
+  close_out oc;
+  Printf.printf "\nwrote %s\n" path
+
 (* Run [f] in a forked child; read its result line from a pipe.  The
    child is killed (SIGKILL) when the timeout elapses — algorithms need
    no cooperative cancellation points this way.  Payloads must stay

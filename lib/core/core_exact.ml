@@ -145,27 +145,6 @@ let run ?pool ?(warm = true) ?(prunings = all_prunings) ?(grouped = false)
       let iters = ref 0 in
       let nodes = ref [] in
       let span = Dsd_util.Timer.Span.create () in
-      (* Per-component retargetable handle: the arena is built at the
-         first probe and only re-capacitated on later iterations.  A
-         Pruning-3 core shrink changes the vertex set, so the caller
-         resets the handle to [None] and the next probe rebuilds. *)
-      let solve_network ~prepared gc alpha ~instances =
-        incr iters;
-        Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
-        Dsd_util.Timer.Span.start span;
-        let network =
-          match !prepared with
-          | Some p -> Flow_build.retarget ~warm p ~alpha
-          | None ->
-            let p = Flow_build.prepare ?pool family gc psi ~instances ~alpha in
-            prepared := Some p;
-            p.Flow_build.network
-        in
-        nodes := network.node_count :: !nodes;
-        let s_side = Flow_build.solve network in
-        Dsd_util.Timer.Span.stop span;
-        s_side
-      in
       let l = ref l0 in
       (* Line 6: if l has outgrown this core level, drop low-core
          vertices before doing any flow work. *)
@@ -192,42 +171,52 @@ let run ?pool ?(warm = true) ?(prunings = all_prunings) ?(grouped = false)
         rebuild comp;
         let instances = ref (Enumerate.instances ?pool !gc psi) in
         let comp = ref comp in
-        let prepared = ref None in
+        (* Per-component arena: built at the first probe, re-pointed
+           after, and invalidated by a Pruning-3 shrink (the new
+           vertex set needs a new network). *)
+        let arena = Param_search.arena () in
+        let prepare alpha =
+          Flow_build.prepare ?pool family !gc psi ~instances:!instances ~alpha
+        in
+        let solve_network alpha =
+          incr iters;
+          Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
+          Dsd_util.Timer.Span.start span;
+          let s_side = Param_search.probe ~warm arena ~prepare alpha in
+          nodes := Param_search.node_count arena :: !nodes;
+          Dsd_util.Timer.Span.stop span;
+          s_side
+        in
         (* Feasibility probe at alpha = l (lines 7-9). *)
-        let s0 = solve_network ~prepared !gc !l ~instances:!instances in
+        let s0 = solve_network !l in
         if Array.length s0 > 0 then begin
-          let u = ref ub in
           let witness = ref (Array.map (fun v -> !map.(v)) s0) in
           let gap () =
             if prunings.p3 then Density.stop_gap (Array.length !comp)
             else Density.stop_gap (G.n g)
           in
-          while !u -. !l >= gap () do
-            let alpha = (!l +. !u) /. 2. in
-            let s_side =
-              solve_network ~prepared !gc alpha ~instances:!instances
-            in
-            if Array.length s_side = 0 then u := alpha
-            else begin
-              witness := Array.map (fun v -> !map.(v)) s_side;
-              (* Optimisation 3: raise l, shrink the component (and so
-                 the next network) to the higher core. *)
-              if safe_ceil alpha > safe_ceil !l then begin
-                let smaller = shrink !comp (safe_ceil alpha) in
-                if Array.length smaller >= p
-                   && Array.length smaller < Array.length !comp
-                then begin
-                  comp := smaller;
-                  rebuild smaller;
-                  instances := Enumerate.instances ?pool !gc psi;
-                  (* The handle's arena indexes the old vertex set:
-                     invalidate so the next probe rebuilds. *)
-                  prepared := None
-                end
-              end;
-              l := alpha
-            end
-          done;
+          ignore
+            (Param_search.bisect ~gap ~l:!l ~u:ub (fun alpha ->
+                 let s_side = solve_network alpha in
+                 if Array.length s_side = 0 then Param_search.Lower
+                 else begin
+                   witness := Array.map (fun v -> !map.(v)) s_side;
+                   (* Optimisation 3: raise l, shrink the component
+                      (and so the next network) to the higher core. *)
+                   if safe_ceil alpha > safe_ceil !l then begin
+                     let smaller = shrink !comp (safe_ceil alpha) in
+                     if Array.length smaller >= p
+                        && Array.length smaller < Array.length !comp
+                     then begin
+                       comp := smaller;
+                       rebuild smaller;
+                       instances := Enumerate.instances ?pool !gc psi;
+                       Param_search.invalidate arena
+                     end
+                   end;
+                   l := alpha;
+                   Param_search.Raise alpha
+                 end));
           let c = Density.of_vertices g psi !witness in
           publish c.Density.density;
           cand := Some c

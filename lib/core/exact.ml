@@ -50,43 +50,35 @@ let run ?pool ?(warm = true) ?family ?instances ?prepared g psi =
   else begin
     (* Algorithm 1 lines 1-3: l = 0, u = max clique-degree; stop when
        the interval is below the minimal density gap. *)
-    let l = ref 0. and u = ref (float_of_int max_deg) in
     let gap = Density.stop_gap n in
     let best_vertices = ref [||] in
     let iterations = ref 0 in
-    let last_nodes = ref 0 in
-    (* The network topology is alpha-invariant: build the arena once on
-       the first iteration, then only re-point the alpha arcs.  A
-       caller-owned [?prepared] slot survives this call, so a server
-       answering the same (g, psi) twice pays the build exactly once
-       and every later search is pure retargets (warm-started from
-       whatever flow the previous search left committed — the min-cut
-       source side is unique, so results are unchanged). *)
-    let prepared =
+    (* The network topology is alpha-invariant: the arena is built on
+       the first probe and only re-pointed after.  A caller-owned
+       [?prepared] arena survives this call, so a server answering the
+       same (g, psi) twice pays the build exactly once and every later
+       search is pure retargets (warm-started from whatever flow the
+       previous search left committed — the min-cut source side is
+       unique, so results are unchanged). *)
+    let arena =
       match prepared with
-      | Some slot -> slot
-      | None -> ref None
+      | Some a -> a
+      | None -> Param_search.arena ()
     in
-    while !u -. !l >= gap do
-      incr iterations;
-      Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
-      let alpha = (!l +. !u) /. 2. in
-      let network =
-        match !prepared with
-        | Some p -> Flow_build.retarget ~warm p ~alpha
-        | None ->
-          let p = Flow_build.prepare ?pool family g psi ~instances ~alpha in
-          prepared := Some p;
-          p.Flow_build.network
-      in
-      last_nodes := network.node_count;
-      let s_side = Flow_build.solve network in
-      if Array.length s_side = 0 then u := alpha
-      else begin
-        l := alpha;
-        best_vertices := s_side
-      end
-    done;
+    let prepare alpha =
+      Flow_build.prepare ?pool family g psi ~instances ~alpha
+    in
+    ignore
+      (Param_search.bisect ~gap:(fun () -> gap) ~l:0.
+         ~u:(float_of_int max_deg) (fun alpha ->
+           incr iterations;
+           Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
+           let s_side = Param_search.probe ~warm arena ~prepare alpha in
+           if Array.length s_side = 0 then Param_search.Lower
+           else begin
+             best_vertices := s_side;
+             Param_search.Raise alpha
+           end));
     let best =
       if Array.length !best_vertices = 0 then
         (* The optimum equals the trivial lower bound only when every
@@ -95,5 +87,5 @@ let run ?pool ?(warm = true) ?family ?instances ?prepared g psi =
         Density.empty
       else Density.of_vertices g psi !best_vertices
     in
-    finish best !iterations !last_nodes
+    finish best !iterations (Param_search.node_count arena)
   end

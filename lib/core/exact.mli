@@ -28,15 +28,14 @@ type result = {
     Repeat-solve hooks (the serving layer's prepared-state cache):
     [?instances] supplies the Psi-instances of [g] enumerated earlier
     (must equal [Enumerate.instances g psi]; ignored by the EDS
-    family), and [?prepared] a caller-owned slot for the retargetable
-    flow arena — empty on the first call, reused (retarget-only, no
-    rebuild) on every later call with the same [g], [psi] and
-    [family].  Results are bit-identical with or without either
-    hook. *)
+    family), and [?prepared] a caller-owned {!Param_search.arena} —
+    unprepared on the first call, reused (retarget-only, no rebuild)
+    on every later call with the same [g], [psi] and [family].
+    Results are bit-identical with or without either hook. *)
 val run :
   ?pool:Dsd_util.Pool.t ->
   ?warm:bool ->
   ?family:Flow_build.family ->
   ?instances:int array array ->
-  ?prepared:Flow_build.prepared option ref ->
+  ?prepared:Param_search.arena ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

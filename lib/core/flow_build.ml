@@ -104,12 +104,10 @@ let eds_prepared g ~alpha =
       ignore (F.add_edge net ~src:(vertex_node v) ~dst:(vertex_node u) ~cap:1.));
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let eds_network g ~alpha = (eds_prepared g ~alpha).network
-
 (* Shared degree computation from an instance list.  With a pool the
    per-chunk partial counts fan out across domains; integer addition
    commutes, so the merged array is exactly the sequential one. *)
-let degrees_of_instances ?pool n instances =
+let instance_degrees ?pool n instances =
   match pool with
   | Some pool when Array.length instances > 0 && n > 0 ->
     let len = Array.length instances in
@@ -136,8 +134,6 @@ let degrees_of_instances ?pool n instances =
       (fun inst -> Array.iter (fun v -> deg.(v) <- deg.(v) + 1) inst)
       instances;
     deg
-
-let instance_degrees = degrees_of_instances
 
 let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
   let n = G.n g in
@@ -206,7 +202,7 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
   let net = F.create size in
   let source = 0 and sink = size - 1 in
   let sub_node id = n + 1 + id in
-  let deg = degrees_of_instances ?pool n instances in
+  let deg = instance_degrees ?pool n instances in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
@@ -234,12 +230,6 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
     sub_ids;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let clique_network_pre ?pool ?pinned g ~h ~instances ~alpha =
-  (clique_prepared ?pool ?pinned g ~h ~instances ~alpha).network
-
-let clique_network g ~h ~alpha =
-  clique_network_pre g ~h ~instances:(Dsd_clique.Kclist.list g ~h) ~alpha
-
 let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
     ~alpha =
   let n = G.n g in
@@ -264,7 +254,7 @@ let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
   let net = F.create size in
   let source = 0 and sink = size - 1 in
   let group_node id = n + 1 + id in
-  let deg = degrees_of_instances ?pool n instances in
+  let deg = instance_degrees ?pool n instances in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
@@ -290,18 +280,6 @@ let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
     groups;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let pds_network_pre ?pool ?pinned g psi ~instances ~alpha =
-  (pds_prepared ?pool ?pinned ~grouped:false g psi ~instances ~alpha).network
-
-let pds_network g psi ~alpha =
-  pds_network_pre g psi ~instances:(Enumerate.instances g psi) ~alpha
-
-let pds_network_grouped_pre ?pool ?pinned g psi ~instances ~alpha =
-  (pds_prepared ?pool ?pinned ~grouped:true g psi ~instances ~alpha).network
-
-let pds_network_grouped g psi ~alpha =
-  pds_network_grouped_pre g psi ~instances:(Enumerate.instances g psi) ~alpha
-
 type family = Eds | Clique_flow | Pds | Pds_grouped
 
 let auto_family (psi : P.t) ~grouped =
@@ -309,6 +287,11 @@ let auto_family (psi : P.t) ~grouped =
   | P.Clique when psi.size = 2 -> Eds
   | P.Clique -> Clique_flow
   | P.Star _ | P.Cycle4 | P.Generic -> if grouped then Pds_grouped else Pds
+
+let pinned_family (psi : P.t) =
+  match psi.kind with
+  | P.Clique -> Clique_flow
+  | P.Star _ | P.Cycle4 | P.Generic -> Pds_grouped
 
 let prepare ?pool ?pinned family g (psi : P.t) ~instances ~alpha =
   Dsd_obs.Span.with_ Dsd_obs.Phase.build_network @@ fun () ->

@@ -26,15 +26,9 @@ module Counter = Dsd_obs.Counter
    answered before warm-brackets the search around its previous
    optimum (gallop out from [last_opt], then bisect), collapsing the
    probe count to a handful when a delta batch barely moved the
-   density.  This is sound because the answer is canonical for any
-   probe history: the loop exits with [u - l < stop_gap n], which is
-   below the minimum spacing of distinct candidate densities, so the
-   last feasible probe lies in the breakpoint-free interval just under
-   the optimum, where the inclusion-minimal min-cut source side (what
-   residual reachability computes, independent of which max flow the
-   solver arrived at) is exactly the canonical CDS.  A patched
-   session, a fresh session on the rebuilt graph, and any probe
-   history therefore report the identical vertex set.
+   density.  The answer is canonical for any probe history (see
+   Param_search), so a patched session, a fresh session on the rebuilt
+   graph, and any probe history report the identical vertex set.
    [test_incremental] and the delta-equals-rebuild relation pin
    this. *)
 
@@ -43,17 +37,15 @@ type t = {
   h : int;
   dyn : Dyn.t;
   mutable store : Store.store;
-  mutable net : F.t;
-  mutable source : int;
-  mutable sink : int;
+  mutable arena : Flow_build.prepared;  (* alpha class: v -> sink *)
   mutable src_arc : int array;    (* v -> source-arc id *)
-  mutable alpha_arc : int array;  (* v -> alpha-arc id *)
   mutable inst_node : int array;  (* instance id -> arena node *)
   mutable inst_arcs : int array array;  (* instance id -> its arc ids *)
   mutable last_opt : float;  (* previous query's density; < 0 = none *)
 }
 
-let alpha_coef t = float_of_int t.h
+let net t = t.arena.Flow_build.network.Flow_build.net
+let sink t = t.arena.Flow_build.network.Flow_build.sink
 
 let grow_inst t id =
   if id >= Array.length t.inst_node then begin
@@ -71,15 +63,15 @@ let grow_inst t id =
 let arena_add_instance t id =
   grow_inst t id;
   let members = Store.members t.store id in
-  let node = F.add_node t.net in
+  let net = net t in
+  let node = F.add_node net in
   let arcs = Array.make (2 * Array.length members) 0 in
   Array.iteri
     (fun i v ->
-      arcs.(2 * i) <- F.add_edge t.net ~src:(v + 1) ~dst:node ~cap:1.;
+      arcs.(2 * i) <- F.add_edge net ~src:(v + 1) ~dst:node ~cap:1.;
       arcs.((2 * i) + 1) <-
-        F.add_edge t.net ~src:node ~dst:(v + 1)
-          ~cap:(float_of_int (t.h - 1));
-      F.set_cap t.net t.src_arc.(v) (float_of_int (Store.degree t.store v)))
+        F.add_edge net ~src:node ~dst:(v + 1) ~cap:(float_of_int (t.h - 1));
+      F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v)))
     members;
   t.inst_node.(id) <- node;
   t.inst_arcs.(id) <- arcs
@@ -90,35 +82,43 @@ let arena_add_instance t id =
    dead node is semantically absent from every later probe. *)
 let arena_retire_instance t id =
   let members = Store.members t.store id in
+  let net = net t and sink = sink t in
   Array.iter
     (fun a ->
-      F.set_cap_carry t.net a 0.;
-      ignore (F.restore_arc_full t.net ~s:t.source ~sink:t.sink a))
+      F.set_cap_carry net a 0.;
+      ignore (F.restore_arc_full net ~s:0 ~sink a))
     t.inst_arcs.(id);
   Array.iter
     (fun v ->
-      F.set_cap_carry t.net t.src_arc.(v)
-        (float_of_int (Store.degree t.store v));
-      ignore (F.restore_arc_head t.net ~sink:t.sink t.src_arc.(v)))
+      F.set_cap_carry net t.src_arc.(v) (float_of_int (Store.degree t.store v));
+      ignore (F.restore_arc_head net ~sink t.src_arc.(v)))
     members;
   t.inst_arcs.(id) <- [||];
   t.inst_node.(id) <- -1
 
-let build_arena t =
-  let n = Dyn.n t.dyn in
+(* The instance-free arena over n vertices: per vertex a source arc
+   (cap 0, raised as instances arrive) and the alpha arc to the sink
+   (cap h * alpha), so retargets and solves are Flow_build's. *)
+let base_arena ~n ~h =
   let net = F.create (n + 2) in
-  t.net <- net;
-  t.source <- 0;
-  t.sink <- n + 1;
-  t.src_arc <- Array.init (max 1 n) (fun _ -> -1);
-  t.alpha_arc <- Array.init (max 1 n) (fun _ -> -1);
-  t.inst_node <- Array.make 16 (-1);
-  t.inst_arcs <- Array.make 16 [||];
+  let sink = n + 1 in
+  let src_arc = Array.make n (-1) in
+  let alpha_arcs = Array.make n (-1) in
   for v = 0 to n - 1 do
-    t.src_arc.(v) <- F.add_edge net ~src:0 ~dst:(v + 1) ~cap:0.;
-    t.alpha_arc.(v) <- F.add_edge net ~src:(v + 1) ~dst:t.sink ~cap:0.
+    src_arc.(v) <- F.add_edge net ~src:0 ~dst:(v + 1) ~cap:0.;
+    alpha_arcs.(v) <- F.add_edge net ~src:(v + 1) ~dst:sink ~cap:0.
   done;
   Counter.incr Counter.Flow_networks_built;
+  let network =
+    { Flow_build.net; source = 0; sink; n_vertices = n; node_count = n + 2 }
+  in
+  ( { Flow_build.network;
+      alpha_arcs;
+      alpha_base = Array.make n 0.;
+      alpha_coef = Array.make n (float_of_int h) },
+    src_arc )
+
+let add_live_instances t =
   for id = 0 to Store.total t.store - 1 do
     if Store.is_live t.store id then arena_add_instance t id
   done
@@ -129,23 +129,19 @@ let create ?pool g (psi : P.t) =
   let dyn = Dyn.of_graph g in
   let instances = Enumerate.instances ?pool g psi in
   let store = Store.create ~n:(G.n g) instances in
+  let arena, src_arc = base_arena ~n:(G.n g) ~h:psi.P.size in
   let t =
-    {
-      psi;
+    { psi;
       h = psi.P.size;
       dyn;
       store;
-      net = F.create 1;
-      source = 0;
-      sink = 0;
-      src_arc = [||];
-      alpha_arc = [||];
+      arena;
+      src_arc;
       inst_node = [||];
       inst_arcs = [||];
-      last_opt = -1.;
-    }
+      last_opt = -1. }
   in
-  build_arena t;
+  add_live_instances t;
   t
 
 (* New h-clique instances created by inserting edge (u,v): {u,v} plus
@@ -194,7 +190,12 @@ let maybe_compact t =
   if dead > 64 && dead > 3 * Store.live_total t.store then begin
     Counter.incr Counter.Delta_arena_rebuilds;
     t.store <- Store.create ~n:(Dyn.n t.dyn) (Store.live_members t.store);
-    build_arena t
+    let arena, src_arc = base_arena ~n:(Dyn.n t.dyn) ~h:t.h in
+    t.arena <- arena;
+    t.src_arc <- src_arc;
+    t.inst_node <- [||];
+    t.inst_arcs <- [||];
+    add_live_instances t
   end
 
 let apply_op t op =
@@ -237,25 +238,6 @@ let max_live_degree t =
   done;
   !best
 
-let retarget t alpha =
-  Dsd_obs.Span.with_ Dsd_obs.Phase.retarget @@ fun () ->
-  Counter.incr Counter.Flow_retargets;
-  Counter.incr Counter.Flow_warm_starts;
-  let cap = Float.max (alpha_coef t *. alpha) 0. in
-  Array.iter (fun a -> F.set_cap_carry t.net a cap) t.alpha_arc;
-  Array.iter (fun a -> ignore (F.restore_arc t.net ~s:t.source a)) t.alpha_arc
-
-let solve t =
-  Dsd_obs.Span.with_ Dsd_obs.Phase.flow @@ fun () ->
-  let aug0 = Counter.get Counter.Flow_augmentations in
-  let _flow, side = Dsd_flow.Min_cut.solve t.net ~s:t.source ~t:t.sink in
-  Dsd_obs.Probe.record (Counter.get Counter.Flow_augmentations - aug0);
-  let out = Dsd_util.Vec.Int.create () in
-  for v = 0 to Dyn.n t.dyn - 1 do
-    if side.(v + 1) then Dsd_util.Vec.Int.push out v
-  done;
-  Dsd_util.Vec.Int.to_array out
-
 let query t =
   Dsd_obs.Span.with_ Dsd_obs.Phase.incremental @@ fun () ->
   let n = Dyn.n t.dyn in
@@ -267,38 +249,40 @@ let query t =
     let best_vertices = ref [||] in
     let probe alpha =
       Counter.incr Counter.Core_iterations;
-      retarget t alpha;
-      let s_side = solve t in
-      if Array.length s_side = 0 then u := alpha
+      let s_side = Flow_build.solve (Flow_build.retarget t.arena ~alpha) in
+      if Array.length s_side = 0 then Param_search.Lower
       else begin
-        l := alpha;
-        best_vertices := s_side
+        best_vertices := s_side;
+        Param_search.Raise alpha
       end
     in
-    (* Warm bracket: the answer is canonical for any probe history (see
-       the module comment), so a patched session may narrow [l, u)
-       around its previous optimum instead of bisecting the full range.
-       Probe just below the last density — if the optimum is unchanged
-       that probe is feasible and the next one closes the bracket — and
-       gallop with doubling steps in whichever direction it moved.  A
-       fresh session ([last_opt < 0]) takes the plain bisection. *)
+    let step alpha =
+      match probe alpha with
+      | Param_search.Raise l' -> l := l'
+      | Param_search.Lower -> u := alpha
+    in
+    (* Warm bracket: the answer is canonical for any probe history, so
+       a patched session may narrow [l, u) around its previous optimum
+       instead of bisecting the full range.  Probe just below the last
+       density — if the optimum is unchanged that probe is feasible and
+       the next one closes the bracket — and gallop with doubling steps
+       in whichever direction it moved.  A fresh session
+       ([last_opt < 0]) takes the plain bisection. *)
     let a0 = t.last_opt -. (gap /. 2.) in
     if a0 > !l && a0 < !u then begin
-      probe a0;
-      let step = ref gap in
+      step a0;
+      let step_width = ref gap in
       let live = ref true in
       while !live && !u -. !l >= gap do
-        let x = if !l >= a0 then !l +. !step else !u -. !step in
+        let x = if !l >= a0 then !l +. !step_width else !u -. !step_width in
         if x <= !l || x >= !u then live := false
         else begin
-          probe x;
-          step := !step *. 2.
+          step x;
+          step_width := !step_width *. 2.
         end
       done
     end;
-    while !u -. !l >= gap do
-      probe ((!l +. !u) /. 2.)
-    done;
+    ignore (Param_search.bisect ~gap:(fun () -> gap) ~l:!l ~u:!u probe);
     let result =
       if Array.length !best_vertices = 0 then Density.empty
       else Density.of_vertices (Dyn.snapshot t.dyn) t.psi !best_vertices

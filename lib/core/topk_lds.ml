@@ -15,29 +15,18 @@ type result = {
 
 let safe_ceil = Dsd_util.Float_guard.safe_ceil
 
-let family_for (psi : P.t) =
-  (* The canonicalization cut pins its witness, and pinning needs the
-     generic networks even for h = 2 (see Query_dsd). *)
-  match psi.kind with
-  | P.Clique -> Flow_build.Clique_flow
-  | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
-
 (* Exact optimum and canonical maximal densest subgraph of gr[verts]
    (verts in gr-local ids, regions reported in g-global ids via
    map_r).  None when the part holds no Psi-instance.
 
-   The binary search keeps the Query_dsd invariant — l is always the
-   exact density of a witnessed subset, u only drops when a min cut
-   certifies no denser subset exists — so on termination the witness
-   density IS the part's rho (no density fits strictly between l and u
-   once u - l < min_gap).  One extra min cut at rho - stop_gap then
-   canonicalizes: densest subsets are closed under union (instance
-   counts are supermodular), so at that alpha the maximiser of
-   mu(S) - alpha |S| is unique — the union of all densest subsets —
-   and any min cut returns it.  The witness is pinned to the source
-   side, which cannot change the unique answer (it contains every
-   densest subset) but routes the cut through the pinned prepared-arena
-   path. *)
+   Raising l only to witnessed densities makes the final witness
+   density the part's rho (see Param_search).  One extra min cut at
+   rho - stop_gap then canonicalizes: densest subsets are closed under
+   union (instance counts are supermodular), so at that alpha the
+   maximiser of mu(S) - alpha |S| is unique — the union of all densest
+   subsets — and any min cut returns it.  The witness is pinned to the
+   source side, which cannot change the unique answer (it contains
+   every densest subset). *)
 let solve_part ?pool ~warm ~family g gr ~map_r psi ~verts ~u0 ~iterations =
   let cg, cmap = G.induced gr verts in
   let instances = Enumerate.instances ?pool cg psi in
@@ -56,41 +45,36 @@ let solve_part ?pool ~warm ~family g gr ~map_r psi ~verts ~u0 ~iterations =
     (* Seed: the whole part is a subset of itself, so its exact density
        is a sound lower bound with itself as witness. *)
     let witness_local = ref (Array.init (G.n cg) Fun.id) in
-    let witness = ref (Density.of_vertices g psi (global_of !witness_local)) in
-    let l = ref !witness.Density.density in
-    let u = ref (Float.max u0 !l) in
-    let gap = Density.stop_gap (G.n cg) in
-    let prepared = ref None in
-    let solve_at ?pinned alpha =
-      incr iterations;
-      match (pinned, !prepared) with
-      | None, Some p -> Flow_build.solve (Flow_build.retarget ~warm p ~alpha)
-      | None, None ->
-        let p = Flow_build.prepare ?pool family cg psi ~instances ~alpha in
-        prepared := Some p;
-        Flow_build.solve p.Flow_build.network
-      | Some _, _ ->
-        (* pinned arcs differ from the search arena: one-shot build *)
-        Flow_build.solve
-          (Flow_build.prepare ?pool ?pinned family cg psi ~instances ~alpha)
-            .Flow_build.network
+    let l0 =
+      (Density.of_vertices g psi (global_of !witness_local)).Density.density
     in
-    while !u -. !l >= gap do
-      let alpha = (!l +. !u) /. 2. in
-      let side = solve_at alpha in
-      if Array.length side = 0 then u := alpha
-      else begin
-        let cand = Density.of_vertices g psi (global_of side) in
-        if cand.Density.density > alpha then begin
-          l := cand.Density.density;
-          witness := cand;
-          witness_local := side
-        end
-        else u := alpha
-      end
-    done;
-    let rho = !witness.Density.density in
-    let side = solve_at ~pinned:!witness_local (rho -. gap) in
+    let gap = Density.stop_gap (G.n cg) in
+    let arena = Param_search.arena () in
+    let prepare alpha =
+      Flow_build.prepare ?pool family cg psi ~instances ~alpha
+    in
+    let rho, _ =
+      Param_search.bisect ~gap:(fun () -> gap) ~l:l0 ~u:(Float.max u0 l0)
+         (fun alpha ->
+           incr iterations;
+           let side = Param_search.probe ~warm arena ~prepare alpha in
+           if Array.length side = 0 then Param_search.Lower
+           else begin
+             let cand = Density.of_vertices g psi (global_of side) in
+             if cand.Density.density > alpha then begin
+               witness_local := side;
+               Param_search.Raise cand.Density.density
+             end
+             else Param_search.Lower
+           end)
+    in
+    (* pinned arcs differ from the search arena: one-shot build *)
+    incr iterations;
+    let side =
+      Flow_build.solve
+        (Flow_build.build ?pool ~pinned:!witness_local family cg psi
+           ~instances ~alpha:(rho -. gap))
+    in
     Some (rho, global_of side)
   end
 
@@ -228,7 +212,7 @@ let run ?pool ?(warm = true) ?(prune = true) ?decomp ~k g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.topk @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
-  let family = family_for psi in
+  let family = Flow_build.pinned_family psi in
   let iterations = ref 0 in
   let pruned = ref 0 in
   let rounds = ref 0 in

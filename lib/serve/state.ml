@@ -6,14 +6,14 @@ module Counter = Dsd_obs.Counter
    of (graph, psi), computed at most once per server lifetime:
    [instances] feeds Exact and the PDS flow builders, [decomp] (with
    density tracking, the strongest mode) drops into CoreExact, Query
-   and the decompose endpoint alike, and [exact_prepared] keeps Exact's
+   and the decompose endpoint alike, and [exact_arena] keeps Exact's
    whole-graph flow arena so repeat solves only retarget. *)
 type psi_state = {
   psi : P.t;
   graph : G.t;
   instances : int array array Lazy.t;
   decomp : Dsd_core.Clique_core.t Lazy.t;
-  exact_prepared : Dsd_core.Flow_build.prepared option ref;
+  exact_arena : Dsd_core.Param_search.arena;
   hierarchy : Dsd_core.Ld_decomposition.t Lazy.t;
       (* the full chain, computed once; per-request level truncation
          happens at response time (and in the result LRU, keyed by the
@@ -76,7 +76,7 @@ let psi_state t (gs : graph_state) (psi : P.t) =
         graph = g;
         instances = lazy (Dsd_core.Enumerate.instances ?pool g psi);
         decomp;
-        exact_prepared = ref None;
+        exact_arena = Dsd_core.Param_search.arena ();
         hierarchy =
           lazy
             (Dsd_core.Ld_decomposition.decompose ?pool
@@ -140,7 +140,7 @@ let densest t (gs : graph_state) (ps : psi_state) algorithm =
       | _ -> Lazy.force ps.instances
     in
     Ok
-      (Dsd_core.Exact.run ?pool ~instances ~prepared:ps.exact_prepared g psi)
+      (Dsd_core.Exact.run ?pool ~instances ~prepared:ps.exact_arena g psi)
         .Dsd_core.Exact.subgraph
   | "coreexact" ->
     Ok

@@ -63,7 +63,7 @@ let test_eds_capacities () =
   (* Goldberg network of a triangle at alpha = 1: s->v arcs carry m,
      v->t arcs carry m + 2 alpha - deg = 3 + 2 - 2 = 3. *)
   let g = G.complete 3 in
-  let fb = FB.eds_network g ~alpha:1.0 in
+  let fb = FB.build FB.Eds g P.edge ~instances:[||] ~alpha:1.0 in
   Alcotest.(check int) "node count" 5 fb.FB.node_count;
   let module F = Dsd_flow.Flow_network in
   Alcotest.(check int) "arcs: 3 s->v, 3 v->t, 6 edge arcs" 12
@@ -75,13 +75,16 @@ let test_clique_network_shape () =
      triangles, t.  Only the triangle (B,C,D) exists, so its 3 edges
      become nodes. *)
   let g = Dsd_data.Paper_graphs.figure2 in
-  let fb = FB.clique_network g ~h:3 ~alpha:0.5 in
+  let fb =
+    FB.build FB.Clique_flow g P.triangle
+      ~instances:(Dsd_clique.Kclist.list g ~h:3) ~alpha:0.5
+  in
   Alcotest.(check int) "nodes = 2 + 4 + 3" 9 fb.FB.node_count
 
 let test_solve_decodes_vertices () =
   let g = Dsd_data.Paper_graphs.two_cliques ~a:5 ~b:3 ~bridge:false in
   (* K5 has edge density 2; alpha = 1.5 must expose it. *)
-  let fb = FB.eds_network g ~alpha:1.5 in
+  let fb = FB.build FB.Eds g P.edge ~instances:[||] ~alpha:1.5 in
   let side = FB.solve fb in
   Alcotest.(check (list int)) "source side = K5" [ 0; 1; 2; 3; 4 ]
     (Helpers.int_array_as_set side)

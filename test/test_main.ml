@@ -8,6 +8,7 @@ let () =
       ("flow-invariants", Test_flow_invariants.suite);
       ("flow-retarget", Test_retarget.suite);
       ("flow-warmstart", Test_warmstart.suite);
+      ("param-search", Test_param_search.suite);
       ("clique", Test_clique.suite);
       ("pattern", Test_pattern.suite);
       ("core-decomp", Test_core_decomp.suite);

@@ -25,8 +25,8 @@ let lemma11_prop (psi, g, alpha) =
   let instances = Dsd_core.Enumerate.instances g psi in
   if Array.length instances = 0 then true
   else begin
-    let a = FB.pds_network_pre g psi ~instances ~alpha in
-    let b = FB.pds_network_grouped_pre g psi ~instances ~alpha in
+    let a = FB.build FB.Pds g psi ~instances ~alpha in
+    let b = FB.build FB.Pds_grouped g psi ~instances ~alpha in
     let fa = Dsd_flow.Dinic.max_flow a.FB.net ~s:a.FB.source ~t:a.FB.sink in
     let fb = Dsd_flow.Dinic.max_flow b.FB.net ~s:b.FB.source ~t:b.FB.sink in
     Float.abs (fa -. fb) < 1e-6
@@ -38,8 +38,10 @@ let test_grouping_shrinks_network () =
   let g = Dsd_data.Paper_graphs.two_cliques ~a:4 ~b:3 ~bridge:true in
   let instances = Dsd_core.Enumerate.instances g P.diamond in
   Alcotest.(check int) "3 instances" 3 (Array.length instances);
-  let plain = FB.pds_network_pre g P.diamond ~instances ~alpha:0.5 in
-  let grouped = FB.pds_network_grouped_pre g P.diamond ~instances ~alpha:0.5 in
+  let plain = FB.build FB.Pds g P.diamond ~instances ~alpha:0.5 in
+  let grouped =
+    FB.build FB.Pds_grouped g P.diamond ~instances ~alpha:0.5
+  in
   Alcotest.(check int) "plain nodes" (7 + 3 + 2) plain.FB.node_count;
   Alcotest.(check int) "grouped nodes" (7 + 1 + 2) grouped.FB.node_count
 
